@@ -251,7 +251,7 @@ const MAX_AUTO_BATCH: usize = 4;
 /// overrides everything: `PH_BATCH=0` is the kill switch and `PH_BATCH=k`
 /// forces width `k` even on one core (piercing the clamp, like
 /// `PH_PORTFOLIO`).
-pub(crate) fn effective_batch_width(opts: OptConfig, params: &SynthParams) -> usize {
+pub fn effective_batch_width(opts: OptConfig, params: &SynthParams) -> usize {
     if let Some(k) = std::env::var("PH_BATCH")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())

@@ -5,7 +5,9 @@
 
 use ph_bits::BitString;
 use ph_core::bounds::compute_bounds;
-use ph_core::cegis::{shape_k, verify_candidate_fresh, IncrementalVerifier, Verdict};
+use ph_core::cegis::{
+    effective_batch_width, shape_k, verify_candidate_fresh, IncrementalVerifier, Verdict,
+};
 use ph_core::encode::encode_impl;
 use ph_core::reduce::{reduce_spec, Reduced};
 use ph_core::skeleton::{build_shape, concrete_terms, ConcreteEntry, ConcreteSkel, Shape};
@@ -230,31 +232,51 @@ fn incremental_agrees_with_fresh_on_fig7() {
     );
 }
 
-/// End-to-end: a full synthesis run constructs exactly one verification
-/// solver regardless of how many candidates and shrink trials it checks.
+/// End-to-end: a synthesis run builds its verification solvers once — one
+/// per member of the verifier pool, however many candidates and shrink
+/// trials it checks.  The pool grows to the largest candidate batch and
+/// never past the batch width, so a run without batching (or on one core)
+/// builds exactly one verifier.
 #[test]
 fn one_verifier_build_per_synthesis_run() {
     let spec = fig7_spec();
-    let out = Synthesizer::new(
-        DeviceProfile::tofino(),
-        OptConfig {
+    for batch in [false, true] {
+        let opts = OptConfig {
             opt7_parallel: false,
+            batch,
             ..OptConfig::all()
-        },
-    )
-    .with_params(SynthParams {
-        timeout: Some(Duration::from_secs(60)),
-        ..Default::default()
-    })
-    .synthesize(&spec)
-    .expect("fig7 synthesizes");
-    assert_eq!(
-        out.stats.verify_solver_builds, 1,
-        "verifier must be built exactly once"
-    );
-    assert!(
-        out.stats.verify_checks >= 1,
-        "at least the final candidate is verified"
-    );
-    assert!(out.program.entry_count() >= 1);
+        };
+        let params = SynthParams {
+            timeout: Some(Duration::from_secs(60)),
+            ..Default::default()
+        };
+        let width = effective_batch_width(opts, &params);
+        let out = Synthesizer::new(DeviceProfile::tofino(), opts)
+            .with_params(params)
+            .synthesize(&spec)
+            .expect("fig7 synthesizes");
+        let s = &out.stats;
+        // The largest batch holds at least the mean batch's candidates.
+        let largest_batch = if s.batch_rounds == 0 {
+            1
+        } else {
+            s.batch_candidates.div_ceil(s.batch_rounds) as usize
+        };
+        assert!(
+            largest_batch <= s.verify_solver_builds && s.verify_solver_builds <= width,
+            "batch={batch}: {} verifier builds for a pool of {largest_batch}..={width}",
+            s.verify_solver_builds
+        );
+        if width == 1 {
+            assert_eq!(
+                s.verify_solver_builds, 1,
+                "verifier must be built exactly once"
+            );
+        }
+        assert!(
+            s.verify_checks >= 1,
+            "at least the final candidate is verified"
+        );
+        assert!(out.program.entry_count() >= 1);
+    }
 }

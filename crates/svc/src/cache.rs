@@ -35,7 +35,7 @@
 use crate::codec;
 use ph_bits::Sha256;
 use ph_core::{CacheHook, OptConfig, SynthCache, SynthOutput, SynthParams};
-use ph_hw::DeviceProfile;
+use ph_hw::{DeviceProfile, TcamProgram};
 use ph_ir::canon::{canonicalize, spec_fingerprint_text, Canon};
 use ph_ir::{FieldId, KeyPart, ParserSpec};
 use ph_obs::Json;
@@ -211,23 +211,8 @@ impl DiskCache {
         let mut program = codec::program_from_json(program_json).map_err(|e| e.to_string())?;
         // Stored field ids are canonical; remap into the querying spec's
         // field table.
-        let unmap = |f: FieldId| -> Result<FieldId, String> {
-            canon
-                .field_from_canon(f)
-                .ok_or_else(|| format!("canonical field {} unknown to this spec", f.0))
-        };
-        for state in &mut program.states {
-            for kp in &mut state.key {
-                if let KeyPart::Slice { field, .. } = kp {
-                    *field = unmap(*field)?;
-                }
-            }
-            for entry in &mut state.entries {
-                for f in &mut entry.extracts {
-                    *f = unmap(*f)?;
-                }
-            }
-        }
+        remap_fields(&mut program, |f| canon.field_from_canon(f))
+            .map_err(|f| format!("canonical field {} unknown to this spec", f.0))?;
         // The key excludes the device display name; restore the caller's.
         program.device = device.clone();
         let stats_json = doc.get("stats").ok_or("missing stats")?;
@@ -283,18 +268,7 @@ impl DiskCache {
         out: &SynthOutput,
     ) -> Option<Json> {
         let mut program = out.program.clone();
-        for state in &mut program.states {
-            for kp in &mut state.key {
-                if let KeyPart::Slice { field, .. } = kp {
-                    *field = canon.field_to_canon(*field)?;
-                }
-            }
-            for entry in &mut state.entries {
-                for f in &mut entry.extracts {
-                    *f = canon.field_to_canon(*f)?;
-                }
-            }
-        }
+        remap_fields(&mut program, |f| canon.field_to_canon(f)).ok()?;
         let created = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -333,6 +307,34 @@ impl DiskCache {
             }
         }
     }
+}
+
+/// Rewrites every field id `program` references through `map`; on the
+/// first id `map` cannot place, stops and returns it.  This is the one
+/// field-id translation for programs: cache entries go to canonical
+/// coordinates and come back in the querying spec's, and a deduplicated
+/// follower receives its primary's program in its own spec's.
+pub(crate) fn remap_fields(
+    program: &mut TcamProgram,
+    map: impl Fn(FieldId) -> Option<FieldId>,
+) -> Result<(), FieldId> {
+    let remap = |f: &mut FieldId| -> Result<(), FieldId> {
+        *f = map(*f).ok_or(*f)?;
+        Ok(())
+    };
+    for state in &mut program.states {
+        for kp in &mut state.key {
+            if let KeyPart::Slice { field, .. } = kp {
+                remap(field)?;
+            }
+        }
+        for entry in &mut state.entries {
+            for f in &mut entry.extracts {
+                remap(f)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 impl SynthCache for DiskCache {

@@ -6,7 +6,7 @@ use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
 use ph_obs::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -91,6 +91,7 @@ impl Client {
     /// Propagates connect failures.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -105,8 +106,7 @@ impl Client {
     /// Transport failures and unparsable responses; `"ok": false`
     /// responses are returned as [`ClientError::Daemon`].
     pub fn request(&mut self, req: &Json) -> Result<Json, ClientError> {
-        writeln!(self.writer, "{req}")?;
-        self.writer.flush()?;
+        proto::write_message(&mut self.writer, req)?;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {

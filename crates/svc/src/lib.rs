@@ -16,7 +16,8 @@
 //! * [`server`] / [`client`] — `phd`, a daemon serving line-delimited
 //!   JSON over TCP ([`proto`]): bounded-queue backpressure, a synthesis
 //!   worker pool, single-flight deduplication of identical in-flight
-//!   requests, per-request deadlines and graceful drain on SIGTERM or a
+//!   requests, a bounded job table, panic isolation per job,
+//!   per-request deadlines and graceful drain on SIGTERM or a
 //!   `shutdown` request.
 //! * [`codec`] / [`pool`] — hand-written JSON codecs for the IR and
 //!   program types, and the `par_map` worker-pool primitive shared with

@@ -2,6 +2,11 @@
 //!
 //! Each request is one JSON object on one line; each response is one JSON
 //! object on one line.  A connection may issue any number of requests.
+//! Both ends send a line with [`write_message`], which hands the whole
+//! line to the socket in one `write_all` — a message written piecewise
+//! on an unbuffered socket becomes hundreds of tiny segments, and Nagle's
+//! algorithm plus the peer's delayed ACK stall each one.  Both ends also
+//! set `TCP_NODELAY`.
 //! Responses always carry `"ok": true|false`; failures add `"error"`, and
 //! queue-full rejections additionally set `"rejected": true` so clients
 //! can distinguish backpressure from malformed input.
@@ -19,12 +24,30 @@
 //! | `cancel`   | `job`                                                     |
 //! | `stats`    | —                                                         |
 //! | `shutdown` | — (drain: stop accepting, finish queued work, exit)       |
+//!
+//! `status`, `result` and `cancel` on a job the daemon has since let go
+//! (see the retention policy in [`crate::server`]) answer
+//! `"error": "expired"`.
 
 use crate::codec::{self, CodecError};
 use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
 use ph_obs::Json;
+use std::io::Write;
+
+/// Sends one wire message: `msg` rendered on one line, newline included,
+/// in a single `write_all`.  Every request and response goes through
+/// here.
+///
+/// # Errors
+///
+/// Propagates the write failure.
+pub fn write_message(w: &mut impl Write, msg: &Json) -> std::io::Result<()> {
+    let mut line = msg.to_string();
+    line.push('\n');
+    w.write_all(line.as_bytes())
+}
 
 /// A parsed submit request.
 #[derive(Clone, Debug)]
@@ -313,6 +336,52 @@ mod tests {
         o.portfolio = false;
         let back = opts_from_json(&opts_to_json(o)).unwrap();
         assert_eq!(back, o);
+    }
+
+    /// Records each `write` call separately, as an unbuffered socket sends
+    /// each one as its own segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write() {
+        let text: String = (0..2000)
+            .map(|i| format!("state s{i}: \"f{i}\"\tmask=0x{i:x}\n"))
+            .collect();
+        let big = ok_response().with("program_text", text.as_str()).with(
+            "stats",
+            Json::obj().with("wall_s", 0.25).with("iters", 3_i64),
+        );
+        for msg in [ok_response().with("pong", true), big] {
+            let mut w = CountingWriter::default();
+            write_message(&mut w, &msg).unwrap();
+            assert_eq!(
+                w.calls,
+                1,
+                "{} bytes took {} writes",
+                w.bytes.len(),
+                w.calls
+            );
+            let line = std::str::from_utf8(&w.bytes).unwrap();
+            assert_eq!(line.matches('\n').count(), 1, "one line per message");
+            assert!(line.ends_with('\n'));
+            assert_eq!(Json::parse(line.trim_end()).unwrap(), msg);
+        }
     }
 
     #[test]

@@ -16,8 +16,17 @@
 //! * **single-flight**: identical submissions — same content key as a job
 //!   that is still queued or running — don't enqueue a second synthesis.
 //!   The duplicate becomes a *follower* of the primary job and receives a
-//!   copy of its result when it lands.  Combined with the cache this
-//!   gives exactly-one-synthesis for any burst of identical requests;
+//!   copy of its result when it lands, translated into the follower's own
+//!   field ids (the key is canonical, so the two specs may number their
+//!   fields differently).  Combined with the cache this gives
+//!   exactly-one-synthesis for any burst of identical requests;
+//! * **bounded job table**: a `wait: true` job is forgotten once its
+//!   result is delivered inline; finished `wait: false` jobs stay for
+//!   `result` in a FIFO of [`ServerConfig::retained_jobs`] entries, and
+//!   `status`/`result` on an id pushed out of it answer `"expired"`;
+//! * **panic isolation**: a job whose synthesis panics fails alone (status
+//!   `failed`, `svc.panics` counted); the worker survives and the job's
+//!   waiters and followers get `ok: false`;
 //! * **graceful drain**: a `shutdown` request, a [`ShutdownHandle`], or
 //!   SIGTERM stops the accept loop, lets queued and running jobs finish,
 //!   joins the workers and returns `Ok(())` — so `phd` exits 0.
@@ -31,14 +40,17 @@
 //! Everything observable increments `svc.*` counters on the ambient
 //! [`ph_obs`] tracer.
 
-use crate::cache::DiskCache;
+use crate::cache::{remap_fields, DiskCache};
 use crate::codec;
 use crate::proto::{self, Request, SubmitReq};
 use ph_core::{SynthParams, Synthesizer};
+use ph_hw::{DeviceProfile, TcamProgram};
+use ph_ir::canon::{canonicalize, Canon};
 use ph_obs::Json;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -86,6 +98,20 @@ pub struct ServerConfig {
     pub cache: Option<CacheHook>,
 }
 
+/// Finished `wait: false` jobs retained per queue slot (see
+/// [`ServerConfig::retained_jobs`]).
+const RETAINED_PER_QUEUE_SLOT: usize = 4;
+
+impl ServerConfig {
+    /// How many finished `wait: false` jobs the daemon keeps for `result`
+    /// before the oldest answer `"expired"`: a fixed multiple of
+    /// `queue_cap`, so a client can submit a full queue without waiting
+    /// and still collect every result.
+    pub fn retained_jobs(&self) -> usize {
+        RETAINED_PER_QUEUE_SLOT * self.queue_cap.max(1)
+    }
+}
+
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -122,18 +148,105 @@ impl JobStatus {
     }
 }
 
-/// A finished job's payload, pre-rendered for the wire:
-/// `Ok((program JSON, program text, stats JSON, cache_hit))` or the
-/// synthesis error message.
-type JobResult = Result<(Json, String, Json, bool), String>;
+/// A finished synthesis.  It is rendered for the wire on delivery, not
+/// when it lands, because each follower receives it in its own field
+/// coordinates.
+#[derive(Clone)]
+struct Done {
+    program: TcamProgram,
+    stats: Json,
+    cache_hit: bool,
+}
+
+/// A finished job's payload, or the synthesis error message.
+type JobResult = Result<Done, String>;
+
+/// Whom a result is delivered to: the submitter's spec in canonical form
+/// (for its field maps) and its device (the content key ignores device
+/// names, so a follower may name its device differently).
+struct Target {
+    canon: Canon,
+    device: DeviceProfile,
+}
 
 struct Job {
     key: String,
     status: JobStatus,
+    /// The submitter takes the result inline (`wait: true`); the entry is
+    /// removed on delivery instead of being retained.
+    wait: bool,
+    /// Dropped once the job is terminal.
+    target: Option<Box<Target>>,
     submit: Option<Box<SubmitReq>>,
     result: Option<JobResult>,
     /// Duplicate submissions riding on this primary job.
     followers: Vec<u64>,
+}
+
+impl Job {
+    fn new(key: &str, status: JobStatus, wait: bool, target: Box<Target>) -> Job {
+        Job {
+            key: key.to_string(),
+            status,
+            wait,
+            target: Some(target),
+            submit: None,
+            result: None,
+            followers: Vec::new(),
+        }
+    }
+}
+
+/// The jobs the daemon still answers for.  Live jobs stay until they
+/// finish; a `wait: true` job is then removed as its result is delivered,
+/// and finished `wait: false` jobs wait in a FIFO for `result` until
+/// [`ServerConfig::retained_jobs`] younger ones push them out.
+#[derive(Default)]
+struct JobTable {
+    jobs: HashMap<u64, Job>,
+    /// Finished `wait: false` jobs, oldest first.
+    finished: VecDeque<u64>,
+}
+
+impl JobTable {
+    /// Moves a live job to a terminal status.  A job that is already
+    /// terminal (a follower canceled on its own) keeps its status.
+    fn settle(&mut self, id: u64, status: JobStatus, result: Option<JobResult>, retain: usize) {
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        if job.status.terminal() {
+            return;
+        }
+        job.status = status;
+        job.result = result;
+        job.target = None;
+        job.submit = None;
+        if !job.wait {
+            self.finished.push_back(id);
+            while self.finished.len() > retain {
+                if let Some(old) = self.finished.pop_front() {
+                    self.jobs.remove(&old);
+                }
+            }
+        }
+    }
+}
+
+/// The primary's result in a follower's coordinates: field ids go
+/// primary → canonical → follower, and the device is the follower's.
+fn translate(done: &Done, from: &Target, to: &Target) -> JobResult {
+    let mut program = done.program.clone();
+    remap_fields(&mut program, |f| {
+        to.canon.field_from_canon(from.canon.field_to_canon(f)?)
+    })
+    .map_err(|f| format!("field {} of the shared result has no counterpart here", f.0))?;
+    program.device = to.device.clone();
+    Ok(Done {
+        program,
+        stats: done.stats.clone(),
+        cache_hit: done.cache_hit,
+    })
 }
 
 #[derive(Default)]
@@ -142,6 +255,7 @@ struct Counters {
     completed: AtomicU64,
     failed: AtomicU64,
     canceled: AtomicU64,
+    panics: AtomicU64,
     dedup_hits: AtomicU64,
     rejected_full: AtomicU64,
     cache_hits: AtomicU64,
@@ -151,7 +265,7 @@ struct Counters {
 struct Shared {
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
-    jobs: Mutex<HashMap<u64, Job>>,
+    jobs: Mutex<JobTable>,
     /// Signaled whenever any job reaches a terminal status.
     jobs_cv: Condvar,
     /// Content key → primary job id, for jobs still queued or running.
@@ -168,48 +282,74 @@ impl Shared {
         self.queue_cv.notify_all();
     }
 
-    /// Publishes a terminal status (+ result) to a job and its followers.
+    /// Publishes a terminal status (+ result) to a job and its followers,
+    /// each follower's copy translated into its own coordinates.
     fn publish(&self, id: u64, status: JobStatus, result: Option<JobResult>) {
-        let mut jobs = self.jobs.lock().unwrap();
-        let followers = match jobs.get_mut(&id) {
-            Some(job) => {
-                job.status = status;
-                job.result.clone_from(&result);
-                std::mem::take(&mut job.followers)
-            }
-            None => return,
+        let retain = self.config.retained_jobs();
+        let mut table = self.jobs.lock().unwrap();
+        let Some(job) = table.jobs.get_mut(&id) else {
+            return;
         };
+        let followers = std::mem::take(&mut job.followers);
+        let from = job.target.take();
         for f in followers {
-            if let Some(fj) = jobs.get_mut(&f) {
-                fj.status = status;
-                fj.result.clone_from(&result);
-            }
+            let to = table.jobs.get(&f).and_then(|j| j.target.as_deref());
+            let copy = match (&result, from.as_deref(), to) {
+                (Some(Ok(done)), Some(from), Some(to)) => Some(translate(done, from, to)),
+                _ => result.clone(),
+            };
+            table.settle(f, status, copy, retain);
         }
-        drop(jobs);
+        table.settle(id, status, result, retain);
+        drop(table);
         self.jobs_cv.notify_all();
     }
 
-    /// Blocks until `id` reaches a terminal status.
-    fn wait_done(&self, id: u64) -> (JobStatus, Option<JobResult>) {
-        let mut jobs = self.jobs.lock().unwrap();
+    /// Blocks until `id` reaches a terminal status, then removes it and
+    /// hands over its result: a waited job is delivered exactly once.
+    fn collect(&self, id: u64) -> (JobStatus, Option<JobResult>) {
+        let mut table = self.jobs.lock().unwrap();
         loop {
-            match jobs.get(&id) {
+            match table.jobs.get(&id) {
                 None => return (JobStatus::Failed, None),
-                Some(j) if j.status.terminal() => return (j.status, j.result.clone()),
+                Some(j) if j.status.terminal() => {
+                    let job = table.jobs.remove(&id).expect("present");
+                    return (job.status, job.result);
+                }
                 Some(_) => {}
             }
-            jobs = self.jobs_cv.wait(jobs).unwrap();
+            table = self.jobs_cv.wait(table).unwrap();
         }
     }
 
-    fn job_key(&self, id: u64) -> String {
-        self.jobs
-            .lock()
-            .unwrap()
-            .get(&id)
-            .map(|j| j.key.clone())
-            .unwrap_or_default()
+    /// Drops `key`'s in-flight entry if it still names `id`: after this,
+    /// identical submissions enqueue fresh (and hit the disk cache)
+    /// instead of following a finished job.
+    fn retire(&self, key: &str, id: u64) {
+        let mut inflight = self.inflight.lock().unwrap();
+        if inflight.get(key).copied() == Some(id) {
+            inflight.remove(key);
+        }
     }
+
+    /// The answer for a job id the table no longer holds: ids the daemon
+    /// issued were retired by the retention policy.
+    fn missing(&self, job: u64) -> Json {
+        if job != 0 && job < self.next_job.load(Ordering::Relaxed) {
+            proto::error_response("expired").with("status", "expired")
+        } else {
+            proto::error_response("unknown job")
+        }
+    }
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Worker loop: pop a job, synthesize, publish.
@@ -227,19 +367,19 @@ fn worker_loop(shared: &Shared) {
                 q = shared.queue_cv.wait(q).unwrap();
             }
         };
-        let submit = {
-            let mut jobs = shared.jobs.lock().unwrap();
-            match jobs.get_mut(&id) {
+        let claimed = {
+            let mut table = shared.jobs.lock().unwrap();
+            match table.jobs.get_mut(&id) {
                 Some(j) if j.status == JobStatus::Queued => {
                     j.status = JobStatus::Running;
-                    j.submit.take()
+                    j.submit.take().map(|req| (req, j.key.clone()))
                 }
                 // Canceled (or vanished) while queued; its inflight entry
                 // was already removed by the cancel path.
                 _ => None,
             }
         };
-        let Some(req) = submit else { continue };
+        let Some((req, key)) = claimed else { continue };
         let _span = ph_obs::current().span("svc.job");
         let params = SynthParams {
             timeout: req
@@ -249,11 +389,15 @@ fn worker_loop(shared: &Shared) {
             cache: shared.config.cache.clone(),
             ..SynthParams::default()
         };
-        let outcome = Synthesizer::new(req.device.clone(), req.opts)
-            .with_params(params)
-            .synthesize(&req.spec);
+        // A panicking job (the solver, a cache hook) fails alone: the
+        // worker survives and its waiters get an answer.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Synthesizer::new(req.device.clone(), req.opts)
+                .with_params(params)
+                .synthesize(&req.spec)
+        }));
         let (status, result) = match outcome {
-            Ok(out) => {
+            Ok(Ok(out)) => {
                 let hit = out.stats.cache_hits > 0;
                 let ctr = if hit {
                     &shared.counters.cache_hits
@@ -264,65 +408,57 @@ fn worker_loop(shared: &Shared) {
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
                 (
                     JobStatus::Done,
-                    Ok((
-                        codec::program_to_json(&out.program),
-                        out.program.to_string(),
-                        out.stats.to_json(),
-                        hit,
-                    )),
+                    Ok(Done {
+                        stats: out.stats.to_json(),
+                        program: out.program,
+                        cache_hit: hit,
+                    }),
                 )
             }
-            Err(e) => {
+            Ok(Err(e)) => {
                 shared.counters.failed.fetch_add(1, Ordering::Relaxed);
                 (JobStatus::Failed, Err(e.to_string()))
             }
-        };
-        // Retire the in-flight entry before publishing: after this,
-        // identical submissions enqueue fresh (and hit the disk cache)
-        // instead of following a finished job.
-        let key = shared.job_key(id);
-        {
-            let mut inflight = shared.inflight.lock().unwrap();
-            if inflight.get(&key).copied() == Some(id) {
-                inflight.remove(&key);
+            Err(payload) => {
+                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+                shared.counters.panics.fetch_add(1, Ordering::Relaxed);
+                ph_obs::current().count("svc.panics", 1);
+                let msg = format!("synthesis panicked: {}", panic_message(&*payload));
+                (JobStatus::Failed, Err(msg))
             }
-        }
+        };
+        // Retire the in-flight entry before publishing.
+        shared.retire(&key, id);
         shared.publish(id, status, Some(result));
     }
 }
 
 enum Placement {
     Rejected,
-    Follower(u64),
-    Enqueued,
+    Follower(u64, u64),
+    Enqueued(u64),
 }
 
-/// Enqueues `id` as a primary job, or rejects on a full queue.  Runs
-/// under the `inflight` lock.
+/// Enqueues a new primary job, or rejects on a full queue.  Runs under
+/// the `inflight` lock.
 fn try_enqueue(
     shared: &Shared,
     inflight: &mut HashMap<String, u64>,
-    id: u64,
     key: &str,
+    target: Box<Target>,
     req: Box<SubmitReq>,
 ) -> Placement {
     let mut queue = shared.queue.lock().unwrap();
     if queue.len() >= shared.config.queue_cap {
         return Placement::Rejected;
     }
-    shared.jobs.lock().unwrap().insert(
-        id,
-        Job {
-            key: key.to_string(),
-            status: JobStatus::Queued,
-            submit: Some(req),
-            result: None,
-            followers: Vec::new(),
-        },
-    );
+    let id = shared.next_job.fetch_add(1, Ordering::Relaxed);
+    let mut job = Job::new(key, JobStatus::Queued, req.wait, target);
+    job.submit = Some(req);
+    shared.jobs.lock().unwrap().jobs.insert(id, job);
     inflight.insert(key.to_string(), id);
     queue.push_back(id);
-    Placement::Enqueued
+    Placement::Enqueued(id)
 }
 
 /// Handles one submit request end to end; returns the response.
@@ -332,11 +468,15 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
     }
     // Single-flight identity: same canonical spec, device model and
     // synthesis knobs as the daemon's workers will use.
-    let key = DiskCache::key(&req.spec, &req.device, req.opts, &SynthParams::default());
+    let canon = canonicalize(&req.spec);
+    let key = DiskCache::key_of_canon(&canon.spec, &req.device, req.opts, &SynthParams::default());
+    let target = Box::new(Target {
+        canon,
+        device: req.device.clone(),
+    });
     shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
     ph_obs::current().count("svc.submitted", 1);
     let wait = req.wait;
-    let id = shared.next_job.fetch_add(1, Ordering::Relaxed);
 
     let placement = {
         // In-flight check and enqueue are one critical section so two
@@ -344,37 +484,32 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
         let mut inflight = shared.inflight.lock().unwrap();
         match inflight.get(&key).copied() {
             Some(primary) => {
-                let mut jobs = shared.jobs.lock().unwrap();
-                let attached = match jobs.get_mut(&primary) {
+                let mut table = shared.jobs.lock().unwrap();
+                let attached = match table.jobs.get_mut(&primary) {
                     Some(p) if !p.status.terminal() => {
+                        let id = shared.next_job.fetch_add(1, Ordering::Relaxed);
                         p.followers.push(id);
-                        let status = p.status;
-                        jobs.insert(
-                            id,
-                            Job {
-                                key: key.clone(),
-                                status,
-                                submit: None,
-                                result: None,
-                                followers: Vec::new(),
-                            },
-                        );
-                        true
+                        let job = Job::new(&key, p.status, wait, target);
+                        table.jobs.insert(id, job);
+                        Ok(id)
                     }
-                    _ => false,
+                    _ => Err(target),
                 };
-                drop(jobs);
-                if attached {
-                    shared.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    ph_obs::current().count("svc.dedup", 1);
-                    Placement::Follower(primary)
-                } else {
-                    // Raced with completion: enqueue fresh.
-                    inflight.remove(&key);
-                    try_enqueue(shared, &mut inflight, id, &key, req)
+                drop(table);
+                match attached {
+                    Ok(id) => {
+                        shared.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                        ph_obs::current().count("svc.dedup", 1);
+                        Placement::Follower(id, primary)
+                    }
+                    Err(target) => {
+                        // Raced with completion: enqueue fresh.
+                        inflight.remove(&key);
+                        try_enqueue(shared, &mut inflight, &key, target, req)
+                    }
                 }
             }
-            None => try_enqueue(shared, &mut inflight, id, &key, req),
+            None => try_enqueue(shared, &mut inflight, &key, target, req),
         }
     };
 
@@ -387,8 +522,8 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
             ph_obs::current().count("svc.rejected_full", 1);
             proto::rejected_response()
         }
-        Placement::Follower(primary) => finish_submit(shared, id, wait, &key, Some(primary)),
-        Placement::Enqueued => {
+        Placement::Follower(id, primary) => finish_submit(shared, id, wait, &key, Some(primary)),
+        Placement::Enqueued(id) => {
             shared.queue_cv.notify_one();
             finish_submit(shared, id, wait, &key, None)
         }
@@ -403,7 +538,7 @@ fn finish_submit(shared: &Shared, id: u64, wait: bool, key: &str, primary: Optio
     if !wait {
         return resp;
     }
-    let (status, result) = shared.wait_done(id);
+    let (status, result) = shared.collect(id);
     resp.set("status", status.name());
     attach_result(&mut resp, status, result);
     resp
@@ -411,11 +546,11 @@ fn finish_submit(shared: &Shared, id: u64, wait: bool, key: &str, primary: Optio
 
 fn attach_result(resp: &mut Json, status: JobStatus, result: Option<JobResult>) {
     match result {
-        Some(Ok((program, text, stats, cache_hit))) => {
-            resp.set("cache_hit", cache_hit);
-            resp.set("program", program);
-            resp.set("program_text", text);
-            resp.set("stats", stats);
+        Some(Ok(done)) => {
+            resp.set("cache_hit", done.cache_hit);
+            resp.set("program", codec::program_to_json(&done.program));
+            resp.set("program_text", done.program.to_string());
+            resp.set("stats", done.stats);
         }
         Some(Err(e)) => {
             resp.set("ok", false);
@@ -433,42 +568,25 @@ fn attach_result(resp: &mut Json, status: JobStatus, result: Option<JobResult>) 
 fn handle_cancel(shared: &Shared, job: u64) -> Json {
     // Decide under the jobs lock; release it before touching inflight
     // (lock discipline: never jobs → inflight).
-    let decision = {
-        let mut jobs = shared.jobs.lock().unwrap();
-        let decision = match jobs.get_mut(&job) {
-            None => None,
-            Some(j) if j.status == JobStatus::Queued => {
-                j.status = JobStatus::Canceled;
-                j.submit = None;
-                Some(Ok((std::mem::take(&mut j.followers), j.key.clone())))
+    let key = {
+        let retain = shared.config.retained_jobs();
+        let mut table = shared.jobs.lock().unwrap();
+        let (followers, key) = match table.jobs.get_mut(&job) {
+            None => return shared.missing(job),
+            Some(j) if j.status != JobStatus::Queued => {
+                return proto::error_response("job not cancelable").with("status", j.status.name())
             }
-            Some(j) => Some(Err(j.status)),
+            Some(j) => (std::mem::take(&mut j.followers), j.key.clone()),
         };
-        if let Some(Ok((followers, _))) = &decision {
-            for f in followers {
-                if let Some(fj) = jobs.get_mut(f) {
-                    fj.status = JobStatus::Canceled;
-                }
-            }
+        for id in followers.into_iter().chain([job]) {
+            table.settle(id, JobStatus::Canceled, None, retain);
         }
-        decision
+        key
     };
-    match decision {
-        None => proto::error_response("unknown job"),
-        Some(Err(status)) => {
-            proto::error_response("job not cancelable").with("status", status.name())
-        }
-        Some(Ok((_, key))) => {
-            shared.counters.canceled.fetch_add(1, Ordering::Relaxed);
-            let mut inflight = shared.inflight.lock().unwrap();
-            if inflight.get(&key).copied() == Some(job) {
-                inflight.remove(&key);
-            }
-            drop(inflight);
-            shared.jobs_cv.notify_all();
-            proto::ok_response().with("job", job).with("canceled", true)
-        }
-    }
+    shared.counters.canceled.fetch_add(1, Ordering::Relaxed);
+    shared.retire(&key, job);
+    shared.jobs_cv.notify_all();
+    proto::ok_response().with("job", job).with("canceled", true)
 }
 
 /// Dispatches one request.  The bool asks the connection handler to
@@ -490,9 +608,9 @@ fn handle_request(shared: &Shared, req: Request) -> (Json, bool) {
         Request::Ping => (proto::ok_response().with("pong", true), false),
         Request::Submit(s) => (handle_submit(shared, s), false),
         Request::Status { job } => {
-            let jobs = shared.jobs.lock().unwrap();
-            match jobs.get(&job) {
-                None => (proto::error_response("unknown job"), false),
+            let table = shared.jobs.lock().unwrap();
+            match table.jobs.get(&job) {
+                None => (shared.missing(job), false),
                 Some(j) => (
                     proto::ok_response()
                         .with("job", job)
@@ -503,9 +621,9 @@ fn handle_request(shared: &Shared, req: Request) -> (Json, bool) {
         }
         Request::Result { job } => {
             let (status, result) = {
-                let jobs = shared.jobs.lock().unwrap();
-                match jobs.get(&job) {
-                    None => return (proto::error_response("unknown job"), false),
+                let table = shared.jobs.lock().unwrap();
+                match table.jobs.get(&job) {
+                    None => return (shared.missing(job), false),
                     Some(j) => (j.status, j.result.clone()),
                 }
             };
@@ -525,17 +643,20 @@ fn handle_request(shared: &Shared, req: Request) -> (Json, bool) {
         Request::Stats => {
             let c = &shared.counters;
             let queue_len = shared.queue.lock().unwrap().len();
+            let jobs_retained = shared.jobs.lock().unwrap().jobs.len();
             (
                 proto::ok_response()
                     .with("submitted", c.submitted.load(Ordering::Relaxed))
                     .with("completed", c.completed.load(Ordering::Relaxed))
                     .with("failed", c.failed.load(Ordering::Relaxed))
                     .with("canceled", c.canceled.load(Ordering::Relaxed))
+                    .with("panics", c.panics.load(Ordering::Relaxed))
                     .with("dedup_hits", c.dedup_hits.load(Ordering::Relaxed))
                     .with("rejected_full", c.rejected_full.load(Ordering::Relaxed))
                     .with("cache_hits", c.cache_hits.load(Ordering::Relaxed))
                     .with("cache_misses", c.cache_misses.load(Ordering::Relaxed))
                     .with("queue_len", queue_len as u64)
+                    .with("jobs_retained", jobs_retained as u64)
                     .with("workers", shared.config.workers as u64)
                     .with("queue_cap", shared.config.queue_cap as u64)
                     .with("draining", shared.draining.load(Ordering::SeqCst)),
@@ -580,10 +701,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 (proto::error_response(&e.to_string()), false)
             }
         };
-        if writeln!(writer, "{resp}").is_err() {
+        if proto::write_message(&mut writer, &resp).is_err() {
             break;
         }
-        let _ = writer.flush();
         if drain {
             shared.drain();
             break;
@@ -624,7 +744,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             jobs_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
@@ -681,6 +801,7 @@ impl Server {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(false);
+                    let _ = stream.set_nodelay(true);
                     let shared = Arc::clone(&shared);
                     let h = std::thread::Builder::new()
                         .name("phd-conn".into())
